@@ -20,14 +20,13 @@ const N0: f64 = 1.0e24;
 /// current drives a coherent, deterministic field oscillation, so the
 /// f32/f64 difference stays perturbative instead of being amplified by
 /// particle noise.
-fn uniform_plasma(precision: Precision, optimized: bool) -> Simulation {
+fn uniform_plasma(precision: Precision) -> Simulation {
     SimulationBuilder::new(Dim::Two)
         .domain(IntVect::new(64, 1, 64), [1.0e-6; 3], [0.0; 3])
         .periodic([true, true, true])
         .cfl(0.6)
         .order(ShapeOrder::Quadratic)
         .seed(7)
-        .optimized_kernels(optimized)
         .precision(precision)
         .add_species(
             Species::electrons("plasma", Profile::Uniform { n0: N0 }, [2, 1, 2]).with_drift([
@@ -41,8 +40,8 @@ fn uniform_plasma(precision: Precision, optimized: bool) -> Simulation {
 
 #[test]
 fn f32_particles_tracks_f64_over_100_steps() {
-    let mut a = uniform_plasma(Precision::F64, true);
-    let mut b = uniform_plasma(Precision::F32Particles, true);
+    let mut a = uniform_plasma(Precision::F64);
+    let mut b = uniform_plasma(Precision::F32Particles);
     assert_eq!(b.precision, Precision::F32Particles);
     let g64_0 = a.gauss_residual_norm();
     let g32_0 = b.gauss_residual_norm();
@@ -70,22 +69,4 @@ fn f32_particles_tracks_f64_over_100_steps() {
     for buf in &b.parts[0].bufs {
         assert!(buf.ux.iter().all(|u| u.is_finite()));
     }
-}
-
-/// The scalar-reference f32 path (optimized_kernels = false) exercises
-/// the per-particle kernels at f32 and must agree with the lane-blocked
-/// f32 path to f32 rounding over a short run.
-#[test]
-fn f32_scalar_and_lane_paths_agree() {
-    let mut a = uniform_plasma(Precision::F32Particles, true);
-    let mut b = uniform_plasma(Precision::F32Particles, false);
-    for _ in 0..10 {
-        a.step();
-        b.step();
-    }
-    let (fa, fb) = (field_energy(&a.fs), field_energy(&b.fs));
-    assert!(fa > 0.0 && fb > 0.0);
-    let rel = (fa - fb).abs() / fa.max(fb);
-    assert!(rel < 1e-3, "lane vs scalar f32 energy differ by {rel:.3e}");
-    assert!(!a.telemetry.tripped() && !b.telemetry.tripped());
 }
