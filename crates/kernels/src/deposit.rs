@@ -8,10 +8,9 @@
 //! update without any cleaning step. A *direct* (momentum-conserving but
 //! non-charge-conserving) deposition is provided as a baseline.
 //!
-//! The *blocked* variant mirrors the paper's optimization (§V-A.1):
-//! particles are processed in groups whose contributions are accumulated
-//! into a small cache-resident tile before being added to the global
-//! array, turning scattered writes into dense ones.
+//! The Esirkepov kernels here are the scalar reference. The step loop
+//! runs their optimized form, [`crate::lanes::Lanes`] (the paper's
+//! §V-A.1 restructuring), which is bitwise identical to them.
 
 use crate::real::Real;
 use crate::shape::{dual, Shape};
@@ -309,108 +308,6 @@ fn deposit_component<S: Shape, T: Real>(f: &mut FieldViewMut<'_, T>, xi: [T; 3],
             let vv = val * wz[c] * wy[b];
             for a in 0..S::SUPPORT {
                 f.add(ix + a as i64, iy + b as i64, iz + c as i64, vv * wx[a]);
-            }
-        }
-    }
-}
-
-/// Optimized 3-D Esirkepov (the §V-A.1 restructuring, retargeted at this
-/// host ISA): per-particle row bases are precomputed once, the three
-/// sweep loops run over contiguous rows with fused multiply-adds, and
-/// the hot read-modify-write skips bounds checks (the window-containment
-/// guarantee is the same guard-reach contract the baseline requires of
-/// the caller, asserted in debug builds).
-#[allow(clippy::too_many_arguments)]
-pub fn esirkepov3_blocked<S: Shape, T: Real>(
-    x0: &[T],
-    y0: &[T],
-    z0: &[T],
-    x1: &[T],
-    y1: &[T],
-    z1: &[T],
-    w: &[T],
-    q: T,
-    dt: T,
-    geom: &Geom,
-    j: &mut JViews<'_, T>,
-) {
-    let n = x0.len();
-    let [dx, dy, dz] = geom.dx;
-    let cx = q / (dt * T::from_f64(dy * dz));
-    let cy = q / (dt * T::from_f64(dx * dz));
-    let cz = q / (dt * T::from_f64(dx * dy));
-    let half = T::HALF;
-    let third = T::from_f64(THIRD);
-    for p in 0..n {
-        let (ax, s0x, s1x) = dual::<S, T>(geom.xi(0, x0[p]), geom.xi(0, x1[p]));
-        let (ay, s0y, s1y) = dual::<S, T>(geom.xi(1, y0[p]), geom.xi(1, y1[p]));
-        let (az, s0z, s1z) = dual::<S, T>(geom.xi(2, z0[p]), geom.xi(2, z1[p]));
-        let len = S::SUPPORT + 1;
-        let mut dsx = [T::ZERO; 5];
-        let mut dsy = [T::ZERO; 5];
-        let mut dsz = [T::ZERO; 5];
-        for i in 0..len {
-            dsx[i] = s1x[i] - s0x[i];
-            dsy[i] = s1y[i] - s0y[i];
-            dsz[i] = s1z[i] - s0z[i];
-        }
-        let (wx, wy, wz) = (cx * w[p], cy * w[p], cz * w[p]);
-        let bx = j.jx.idx(ax, ay, az);
-        let by = j.jy.idx(ax, ay, az);
-        let bz = j.jz.idx(ax, ay, az);
-        debug_assert!(
-            bx + ((len - 1) as i64 * (j.jx.nxy + j.jx.nx)) as usize + len <= j.jx.data.len()
-        );
-        // Jx: prefix sum along the contiguous x rows.
-        for c in 0..len {
-            for b in 0..len {
-                let wt = s0y[b] * s0z[c]
-                    + half * (dsy[b] * s0z[c] + s0y[b] * dsz[c])
-                    + third * dsy[b] * dsz[c];
-                let row = bx + (c as i64 * j.jx.nxy + b as i64 * j.jx.nx) as usize;
-                let mut acc = T::ZERO;
-                for a in 0..len - 1 {
-                    acc = dsx[a].mul_add(wt, acc);
-                    // SAFETY: guard-reach contract (debug-asserted above).
-                    unsafe {
-                        let slot = j.jx.data.get_unchecked_mut(row + a);
-                        *slot = (-wx * acc) + *slot;
-                    }
-                }
-            }
-        }
-        // Jy: prefix along y; rows along x stay contiguous.
-        for c in 0..len {
-            let mut acc_row = [T::ZERO; 5];
-            for b in 0..len - 1 {
-                let row = by + (c as i64 * j.jy.nxy + b as i64 * j.jy.nx) as usize;
-                for a in 0..len {
-                    let wt = s0x[a] * s0z[c]
-                        + half * (dsx[a] * s0z[c] + s0x[a] * dsz[c])
-                        + third * dsx[a] * dsz[c];
-                    acc_row[a] = dsy[b].mul_add(wt, acc_row[a]);
-                    unsafe {
-                        let slot = j.jy.data.get_unchecked_mut(row + a);
-                        *slot = (-wy * acc_row[a]) + *slot;
-                    }
-                }
-            }
-        }
-        // Jz: prefix along z.
-        for b in 0..len {
-            let mut acc_row = [T::ZERO; 5];
-            for c in 0..len - 1 {
-                let row = bz + (c as i64 * j.jz.nxy + b as i64 * j.jz.nx) as usize;
-                for a in 0..len {
-                    let wt = s0x[a] * s0y[b]
-                        + half * (dsx[a] * s0y[b] + s0x[a] * dsy[b])
-                        + third * dsx[a] * dsy[b];
-                    acc_row[a] = dsz[c].mul_add(wt, acc_row[a]);
-                    unsafe {
-                        let slot = j.jz.data.get_unchecked_mut(row + a);
-                        *slot = (-wz * acc_row[a]) + *slot;
-                    }
-                }
             }
         }
     }
@@ -718,56 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_baseline() {
-        let lo = [-8i64, -8, -8];
-        let n = [32i64, 32, 32];
-        let geo = geom([1.0e-6; 3]);
-        let dt = 1.5e-15;
-        let q = -1.602e-19;
-        let np = 200;
-        let mut state = 99u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        let mut p0 = [vec![0.0; np], vec![0.0; np], vec![0.0; np]];
-        let mut p1 = [vec![0.0; np], vec![0.0; np], vec![0.0; np]];
-        let w: Vec<f64> = (0..np).map(|i| 1.0e5 + i as f64).collect();
-        for p in 0..np {
-            for d in 0..3 {
-                // Clustered positions (sorted-ish): locality like a tile.
-                let cell = ((p / 32) as f64) * 1.5 - 6.0 + rng();
-                p0[d][p] = cell * geo.dx[d];
-                p1[d][p] = p0[d][p] + (rng() - 0.5) * 0.9 * geo.dx[d];
-            }
-        }
-        let mut ga = Grid::new(lo, n);
-        let mut gb = Grid::new(lo, n);
-        {
-            let mut j = ga.views();
-            esirkepov3::<Quadratic, f64>(
-                &p0[0], &p0[1], &p0[2], &p1[0], &p1[1], &p1[2], &w, q, dt, &geo, &mut j,
-            );
-        }
-        {
-            let mut j = gb.views();
-            esirkepov3_blocked::<Quadratic, f64>(
-                &p0[0], &p0[1], &p0[2], &p1[0], &p1[1], &p1[2], &w, q, dt, &geo, &mut j,
-            );
-        }
-        let scale = ga.jx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        assert!(scale > 0.0);
-        for (a, b) in ga.jx.iter().zip(&gb.jx) {
-            assert!((a - b).abs() <= 1e-12 * scale);
-        }
-        for (a, b) in ga.jz.iter().zip(&gb.jz) {
-            assert!((a - b).abs() <= 1e-12 * scale);
-        }
-    }
-
-    #[test]
     fn direct_deposit_total_current() {
         let lo = [-6i64, -6, -6];
         let n = [16i64, 16, 16];
@@ -794,170 +641,5 @@ mod tests {
         assert!((g.jx.iter().sum::<f64>() * dv - q * w[0] * 1.0e7).abs() < 1e-10);
         assert!((g.jy.iter().sum::<f64>() * dv + q * w[0] * 2.0e7).abs() < 1e-10);
         assert!((g.jz.iter().sum::<f64>() * dv - q * w[0] * 3.0e7).abs() < 1e-10);
-    }
-}
-
-/// Optimized 2-D (x–z) Esirkepov: contiguous rows, fused multiply-adds,
-/// unchecked hot-loop writes (the 2-D counterpart of
-/// [`esirkepov3_blocked`]).
-#[allow(clippy::too_many_arguments)]
-pub fn esirkepov2_blocked<S: Shape, T: Real>(
-    x0: &[T],
-    z0: &[T],
-    x1: &[T],
-    z1: &[T],
-    vy: &[T],
-    w: &[T],
-    q: T,
-    dt: T,
-    geom: &Geom,
-    j: &mut JViews<'_, T>,
-) {
-    let n = x0.len();
-    let [dx, dy, dz] = geom.dx;
-    let cx = q / (dt * T::from_f64(dy * dz));
-    let cz = q / (dt * T::from_f64(dx * dy));
-    let cy = q / T::from_f64(dx * dy * dz);
-    let half = T::HALF;
-    let third = T::from_f64(THIRD);
-    let jy_plane = j.jy.lo[1];
-    let jx_plane = j.jx.lo[1];
-    let jz_plane = j.jz.lo[1];
-    for p in 0..n {
-        let (ax, s0x, s1x) = dual::<S, T>(geom.xi(0, x0[p]), geom.xi(0, x1[p]));
-        let (az, s0z, s1z) = dual::<S, T>(geom.xi(2, z0[p]), geom.xi(2, z1[p]));
-        let len = S::SUPPORT + 1;
-        let mut dsx = [T::ZERO; 5];
-        let mut dsz = [T::ZERO; 5];
-        for i in 0..len {
-            dsx[i] = s1x[i] - s0x[i];
-            dsz[i] = s1z[i] - s0z[i];
-        }
-        let (wxc, wyc, wzc) = (cx * w[p], cy * w[p] * vy[p], cz * w[p]);
-        let bx = j.jx.idx(ax, jx_plane, az);
-        let by = j.jy.idx(ax, jy_plane, az);
-        let bz = j.jz.idx(ax, jz_plane, az);
-        debug_assert!(bx + ((len - 1) as i64 * j.jx.nxy) as usize + len <= j.jx.data.len());
-        // Jx: prefix along x, rows contiguous.
-        for c in 0..len {
-            let wt = s0z[c] + half * dsz[c];
-            let row = bx + (c as i64 * j.jx.nxy) as usize;
-            let mut acc = T::ZERO;
-            for a in 0..len - 1 {
-                acc = dsx[a].mul_add(wt, acc);
-                // SAFETY: guard-reach contract (debug-asserted above).
-                unsafe {
-                    let slot = j.jx.data.get_unchecked_mut(row + a);
-                    *slot = (-wxc * acc) + *slot;
-                }
-            }
-        }
-        // Jz: prefix along z.
-        let mut acc_row = [T::ZERO; 5];
-        for c in 0..len - 1 {
-            let row = bz + (c as i64 * j.jz.nxy) as usize;
-            for a in 0..len {
-                let wt = s0x[a] + half * dsx[a];
-                acc_row[a] = dsz[c].mul_add(wt, acc_row[a]);
-                unsafe {
-                    let slot = j.jz.data.get_unchecked_mut(row + a);
-                    *slot = (-wzc * acc_row[a]) + *slot;
-                }
-            }
-        }
-        // Jy (out of plane): direct with time-averaged weights.
-        for c in 0..len {
-            let row = by + (c as i64 * j.jy.nxy) as usize;
-            for a in 0..len {
-                let wt = s0x[a] * s0z[c]
-                    + half * (dsx[a] * s0z[c] + s0x[a] * dsz[c])
-                    + third * dsx[a] * dsz[c];
-                unsafe {
-                    let slot = j.jy.data.get_unchecked_mut(row + a);
-                    *slot = wyc.mul_add(wt, *slot);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod blocked2_tests {
-    use super::*;
-    use crate::shape::Quadratic;
-
-    #[test]
-    fn esirkepov2_blocked_matches_baseline() {
-        let lo = [-8i64, 0, -8];
-        let n = [24i64, 1, 24];
-        let len = (n[0] * n[2]) as usize;
-        let geo = Geom {
-            xmin: [0.0; 3],
-            dx: [0.5e-6, 1.0e-6, 0.6e-6],
-        };
-        let dt = 0.8e-15;
-        let q = -1.602e-19;
-        let np = 30;
-        let mut state = 99u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        let (mut x0, mut z0, mut x1, mut z1) =
-            (vec![0.0; np], vec![0.0; np], vec![0.0; np], vec![0.0; np]);
-        let vy: Vec<f64> = (0..np).map(|_| 1.0e6 * rng()).collect();
-        let w = vec![3.0e5; np];
-        for p in 0..np {
-            x0[p] = (-2.0 + 6.0 * rng()) * geo.dx[0];
-            z0[p] = (-2.0 + 6.0 * rng()) * geo.dx[2];
-            x1[p] = x0[p] + (rng() - 0.5) * 0.9 * geo.dx[0];
-            z1[p] = z0[p] + (rng() - 0.5) * 0.9 * geo.dx[2];
-        }
-        let run = |blocked: bool| -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-            let (mut jx, mut jy, mut jz) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
-            {
-                let mut j = JViews {
-                    jx: FieldViewMut {
-                        data: &mut jx,
-                        lo,
-                        nx: n[0],
-                        nxy: n[0],
-                        half: [true, false, false],
-                    },
-                    jy: FieldViewMut {
-                        data: &mut jy,
-                        lo,
-                        nx: n[0],
-                        nxy: n[0],
-                        half: [false, true, false],
-                    },
-                    jz: FieldViewMut {
-                        data: &mut jz,
-                        lo,
-                        nx: n[0],
-                        nxy: n[0],
-                        half: [false, false, true],
-                    },
-                };
-                if blocked {
-                    esirkepov2_blocked::<Quadratic, f64>(
-                        &x0, &z0, &x1, &z1, &vy, &w, q, dt, &geo, &mut j,
-                    );
-                } else {
-                    esirkepov2::<Quadratic, f64>(&x0, &z0, &x1, &z1, &vy, &w, q, dt, &geo, &mut j);
-                }
-            }
-            (jx, jy, jz)
-        };
-        let a = run(false);
-        let b = run(true);
-        let scale = a.0.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30);
-        for (x, y) in [(&a.0, &b.0), (&a.1, &b.1), (&a.2, &b.2)] {
-            for (u, v) in x.iter().zip(y.iter()) {
-                assert!((u - v).abs() <= 1e-11 * scale, "{u} vs {v}");
-            }
-        }
     }
 }

@@ -50,7 +50,7 @@ pub const LANE_WIDTHS: [usize; 3] = [4, 8, 16];
 /// up to W = 16 (pure vector loads), but the deposit's scatter is a
 /// serial per-lane read-modify-write chain, and past 8 lanes the larger
 /// staged axis tiles cost more than the extra lanes amortize (see the
-/// `lane_width_sweep` / perf-probe data). Blocks wider than this are
+/// `lane_width_sweep` data). Blocks wider than this are
 /// re-blocked — pure re-blocking: per-particle values, fallback
 /// behavior, and deposit order are width-invariant, so results stay
 /// bitwise identical.

@@ -4,12 +4,12 @@
 //! gather and the current deposition (paper §V-A): interpolating data
 //! between continuous particle positions and the discrete staggered mesh.
 //! This crate implements those kernels (plus the relativistic particle
-//! pushers) in both a **baseline** per-particle form and an **optimized**
-//! particle-blocked form that mirrors the paper's A64FX vectorization
-//! strategy: compute interpolation weights for groups of `N_grp` particles
-//! into transposed structure-of-arrays temporaries that stay cache
-//! resident, so the innermost loops run over particles, not over the tiny
-//! stencil extents.
+//! pushers) in a **reference** per-particle form and an **optimized**
+//! lane-blocked form ([`Lanes`]) that mirrors the paper's A64FX
+//! vectorization strategy: stage the interpolation weights of a tile of
+//! `W` particles into transposed structure-of-arrays temporaries, so the
+//! innermost loops run over particles, not over the tiny stencil
+//! extents. The two forms are bitwise identical.
 //!
 //! All kernels are generic over [`Real`] (`f32`/`f64`) so the paper's
 //! double-precision and mixed-precision modes can both be exercised.

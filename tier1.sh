@@ -26,6 +26,11 @@ cargo run --release --bin mrpic_prof -- \
     --compare crates/bench/baselines/BENCH_step_loop.pre_lanes.json \
     BENCH_step_loop.json --threshold 5 --only uniform_plasma:
 
+# §V-A reproduction: times the scalar reference gather/deposition
+# against the lane-blocked kernels. No timing is asserted; the binary
+# exits 1 if the lane outputs are not bitwise equal to the reference.
+cargo run --release --bin table_va_kernel_opt
+
 # Telemetry smoke run: a short slice of the hybrid-target MR config with
 # the NaN/Inf sentinel on every step. mrpic_run exits 3 if a guard trips,
 # which fails this script.
