@@ -239,6 +239,11 @@ fn push_event(mut ev: RawEvent) {
     let _ = LOCAL.try_with(|cell| {
         let mut slot = cell.borrow_mut();
         let tr = slot.get_or_insert_with(ThreadRing::register);
+        // Stamp after registering: a recycled ring (and its tid) is
+        // handed out only once its previous thread has ended every
+        // span, so a stamp taken before registration could predate the
+        // previous owner's last end and fake an overlap on that tid.
+        ev.t_ns = now_ns();
         ev.tid = tr.ring.tid;
         tr.ring.push(ev);
     });
@@ -264,7 +269,7 @@ impl SpanGuard {
             };
         }
         push_event(RawEvent {
-            t_ns: now_ns(),
+            t_ns: 0,
             name,
             rank,
             tid: 0,
@@ -285,7 +290,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.active {
             push_event(RawEvent {
-                t_ns: now_ns(),
+                t_ns: 0,
                 name: self.name,
                 rank: self.rank,
                 tid: 0,
